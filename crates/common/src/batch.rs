@@ -151,7 +151,7 @@ impl Column {
 /// ```
 /// use pspp_common::{Batch, Schema, DataType, row};
 /// let schema = Schema::new(vec![("a", DataType::Int), ("b", DataType::Float)]);
-/// let batch = Batch::from_rows(&schema, vec![row![1i64, 0.5], row![2i64, 1.5]]).unwrap();
+/// let batch = Batch::from_rows(&schema, &[row![1i64, 0.5], row![2i64, 1.5]]).unwrap();
 /// assert_eq!(batch.column(0).as_int().unwrap(), &[1, 2]);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -185,10 +185,10 @@ impl Batch {
     /// # Errors
     ///
     /// Returns [`Error::SchemaMismatch`] if any row violates the schema.
-    pub fn from_rows(schema: &Schema, rows: Vec<Row>) -> Result<Batch> {
+    pub fn from_rows(schema: &Schema, rows: &[Row]) -> Result<Batch> {
         let mut batch = Batch::empty(schema.clone());
         for row in rows {
-            batch.push_row(&row)?;
+            batch.push_row(row)?;
         }
         Ok(batch)
     }
@@ -286,20 +286,20 @@ mod tests {
             row![1i64, "a", 0.5],
             Row::from(vec![Value::Int(2), Value::Null, Value::Float(1.5)]),
         ];
-        let b = Batch::from_rows(&schema(), rows.clone()).unwrap();
+        let b = Batch::from_rows(&schema(), &rows).unwrap();
         assert_eq!(b.to_rows(), rows);
         assert_eq!(b.value(1, 1), Value::Null);
     }
 
     #[test]
     fn type_mismatch_rejected() {
-        let err = Batch::from_rows(&schema(), vec![row!["x", "a", 0.5]]);
+        let err = Batch::from_rows(&schema(), &[row!["x", "a", 0.5]]);
         assert!(err.is_err());
     }
 
     #[test]
     fn typed_accessors() {
-        let b = Batch::from_rows(&schema(), vec![row![1i64, "a", 0.5]]).unwrap();
+        let b = Batch::from_rows(&schema(), &[row![1i64, "a", 0.5]]).unwrap();
         assert_eq!(b.column(0).as_int().unwrap(), &[1]);
         assert_eq!(b.column(2).as_float().unwrap(), &[0.5]);
         assert!(b.column(0).as_float().is_none());
@@ -308,7 +308,7 @@ mod tests {
 
     #[test]
     fn byte_size_counts_payload() {
-        let b = Batch::from_rows(&schema(), vec![row![1i64, "abc", 0.5]]).unwrap();
+        let b = Batch::from_rows(&schema(), &[row![1i64, "abc", 0.5]]).unwrap();
         assert_eq!(b.byte_size(), 8 + 3 + 8);
     }
 

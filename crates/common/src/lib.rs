@@ -20,7 +20,7 @@
 //!     Row::from(vec![Value::Int(1), Value::from("ada")]),
 //!     Row::from(vec![Value::Int(2), Value::from("grace")]),
 //! ];
-//! let batch = Batch::from_rows(&schema, rows.clone()).unwrap();
+//! let batch = Batch::from_rows(&schema, &rows).unwrap();
 //! assert_eq!(batch.num_rows(), 2);
 //! assert_eq!(batch.to_rows(), rows);
 //! ```

@@ -2,12 +2,20 @@
 
 use std::fmt;
 use std::ops::Index;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
 use crate::value::Value;
 
-/// A single record: an ordered list of [`Value`]s matching some schema.
+/// A single record: an immutable, shared list of [`Value`]s matching some
+/// schema.
+///
+/// Rows are built once, in a single allocation, and never mutated.
+/// Cloning one bumps a reference count and copies no values, so moving a
+/// row along an executor edge, through a shuffle or into a sort input is
+/// a pointer move. Operators allocate only the rows they create
+/// (projections, join concatenations, aggregate outputs).
 ///
 /// # Examples
 ///
@@ -18,12 +26,12 @@ use crate::value::Value;
 /// assert_eq!(r.len(), 2);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default)]
-pub struct Row(Vec<Value>);
+pub struct Row(Arc<[Value]>);
 
 impl Row {
     /// An empty row.
     pub fn new() -> Self {
-        Row(Vec::new())
+        Row::default()
     }
 
     /// Number of values.
@@ -46,31 +54,18 @@ impl Row {
         self.0.get(idx)
     }
 
-    /// Appends a value in place.
-    pub fn push(&mut self, value: Value) {
-        self.0.push(value);
-    }
-
-    /// Consumes the row, returning its values.
-    pub fn into_values(self) -> Vec<Value> {
-        self.0
-    }
-
     /// A new row keeping only the columns at `indices`, in that order.
     ///
     /// # Panics
     ///
     /// Panics if any index is out of bounds.
     pub fn project(&self, indices: &[usize]) -> Row {
-        Row(indices.iter().map(|&i| self.0[i].clone()).collect())
+        indices.iter().map(|&i| self.0[i].clone()).collect()
     }
 
     /// Concatenates two rows (join output).
     pub fn concat(&self, right: &Row) -> Row {
-        let mut values = Vec::with_capacity(self.len() + right.len());
-        values.extend_from_slice(&self.0);
-        values.extend_from_slice(&right.0);
-        Row(values)
+        self.iter().chain(right.iter()).cloned().collect()
     }
 
     /// Total payload bytes (sum of [`Value::byte_size`]).
@@ -84,12 +79,23 @@ impl Row {
     }
 }
 
+/// Copies the values into a fresh shared allocation; hot paths build rows
+/// with [`FromIterator`] or from an array instead.
 impl From<Vec<Value>> for Row {
     fn from(values: Vec<Value>) -> Self {
-        Row(values)
+        Row(values.into())
     }
 }
 
+impl<const N: usize> From<[Value; N]> for Row {
+    fn from(values: [Value; N]) -> Self {
+        Row(Arc::new(values))
+    }
+}
+
+/// Builds the row in one allocation when the standard library knows the
+/// iterator's exact length up front (maps over slices, chains, `cloned`);
+/// other iterators are buffered first.
 impl FromIterator<Value> for Row {
     fn from_iter<T: IntoIterator<Item = Value>>(iter: T) -> Self {
         Row(iter.into_iter().collect())
@@ -104,27 +110,12 @@ impl Index<usize> for Row {
     }
 }
 
-impl IntoIterator for Row {
-    type Item = Value;
-    type IntoIter = std::vec::IntoIter<Value>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.0.into_iter()
-    }
-}
-
 impl<'a> IntoIterator for &'a Row {
     type Item = &'a Value;
     type IntoIter = std::slice::Iter<'a, Value>;
 
     fn into_iter(self) -> Self::IntoIter {
         self.0.iter()
-    }
-}
-
-impl Extend<Value> for Row {
-    fn extend<T: IntoIterator<Item = Value>>(&mut self, iter: T) {
-        self.0.extend(iter);
     }
 }
 
@@ -152,7 +143,7 @@ impl fmt::Display for Row {
 #[macro_export]
 macro_rules! row {
     ($($v:expr),* $(,)?) => {
-        $crate::Row::from(vec![$($crate::Value::from($v)),*])
+        $crate::Row::from([$($crate::Value::from($v)),*])
     };
 }
 
@@ -185,7 +176,30 @@ mod tests {
         let r = row![1i64, 2i64];
         let total: i64 = r.iter().filter_map(Value::as_i64).sum();
         assert_eq!(total, 3);
-        let owned: Vec<Value> = r.into_iter().collect();
-        assert_eq!(owned.len(), 2);
+        let refs: Vec<&Value> = (&r).into_iter().collect();
+        assert_eq!(refs.len(), 2);
+    }
+
+    #[test]
+    fn clone_shares_storage() {
+        let r = row![1i64, "shared", 2.5];
+        let c = r.clone();
+        assert_eq!(c.values().as_ptr(), r.values().as_ptr());
+        assert_eq!(c, r);
+    }
+
+    #[test]
+    fn debug_and_hash_match_a_plain_value_list() {
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::{Hash, Hasher};
+        let values = vec![Value::Int(3), Value::from("x"), Value::Null];
+        let r = Row::from(values.clone());
+        assert_eq!(format!("{r:?}"), format!("Row({values:?})"));
+        let digest = |h: &dyn Fn(&mut DefaultHasher)| {
+            let mut s = DefaultHasher::new();
+            h(&mut s);
+            s.finish()
+        };
+        assert_eq!(digest(&|s| r.hash(s)), digest(&|s| values.hash(s)));
     }
 }

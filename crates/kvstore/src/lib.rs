@@ -224,7 +224,7 @@ impl KvStore {
                 let v = vs.last()?;
                 match v.expires_at {
                     Some(t) if t <= self.clock => None,
-                    _ => Some(Row::from(vec![Value::from(k.clone()), v.value.clone()])),
+                    _ => Some(Row::from([Value::from(k.clone()), v.value.clone()])),
                 }
             })
             .collect()

@@ -129,7 +129,7 @@ mod tests {
         ]);
         Batch::from_rows(
             &schema,
-            vec![
+            &[
                 row![1i64, "plain", 0.5, true, Value::Timestamp(99)],
                 row![2i64, "with,comma", -1.25, false, Value::Timestamp(0)],
                 row![3i64, "with\"quote", 2.0, true, Value::Timestamp(-5)],
@@ -149,11 +149,8 @@ mod tests {
     #[test]
     fn nulls_roundtrip_as_empty_fields() {
         let schema = Schema::new(vec![("a", DataType::Int), ("b", DataType::Str)]);
-        let b = Batch::from_rows(
-            &schema,
-            vec![Row::from(vec![Value::Null, Value::from("x")])],
-        )
-        .unwrap();
+        let b =
+            Batch::from_rows(&schema, &[Row::from(vec![Value::Null, Value::from("x")])]).unwrap();
         let rows = decode(b.schema(), &encode(&b)).unwrap();
         assert_eq!(rows[0][0], Value::Null);
     }

@@ -378,8 +378,17 @@ pub fn binary_decode(schema: &Schema, bytes: &[u8]) -> Result<Vec<Row>> {
         }
         columns.push(col);
     }
+    // Transpose by moving each decoded value into its row. Every column
+    // holds exactly `n_rows` values, so no column runs dry.
+    let mut columns: Vec<std::vec::IntoIter<Value>> =
+        columns.into_iter().map(Vec::into_iter).collect();
     Ok((0..n_rows)
-        .map(|r| columns.iter().map(|c| c[r].clone()).collect())
+        .map(|_| {
+            columns
+                .iter_mut()
+                .map(|c| c.next().unwrap_or(Value::Null))
+                .collect()
+        })
         .collect())
 }
 
@@ -412,7 +421,7 @@ mod tests {
                 ]
             })
             .collect();
-        Batch::from_rows(&schema, rows).unwrap()
+        Batch::from_rows(&schema, &rows).unwrap()
     }
 
     #[test]

@@ -10,9 +10,7 @@ use std::collections::{BTreeMap, HashMap};
 
 use pspp_accel::exchange::shuffle_bill;
 use pspp_accel::kernels::{BitonicSorter, Gemm, HashPartitioner, StreamFilter};
-use pspp_accel::{
-    AcceleratorFleet, DeploymentMode, Interconnect, KernelClass, LogCa, SimDuration,
-};
+use pspp_accel::{AcceleratorFleet, DeploymentMode, Interconnect, KernelClass, LogCa, SimDuration};
 use pspp_common::{
     DataModel, DeviceKind, MaterializedRepartitions, PartitionSpec, Result, ShardId, TableRef,
 };
@@ -811,9 +809,7 @@ impl CostModel {
             ann.device = Some(critical.0);
             ann.shard_devices = if width > 1 { Some(picks) } else { None };
             ann.shard_fusion = fusion_tags.get(&id).cloned();
-            ann.shard_queue_waits = waits
-                .filter(|w| w.iter().any(|&x| x > 0.0))
-                .cloned();
+            ann.shard_queue_waits = waits.filter(|w| w.iter().any(|&x| x > 0.0)).cloned();
             ann.est_seconds = Some(seconds);
             node_seconds.insert(id, seconds);
             total += seconds;
@@ -882,9 +878,7 @@ impl CostModel {
                 continue;
             }
             for &i in &n.inputs {
-                *consumer_count
-                    .entry(resolve_fused(program, i))
-                    .or_insert(0) += 1;
+                *consumer_count.entry(resolve_fused(program, i)).or_insert(0) += 1;
             }
         }
         let outputs: Vec<NodeId> = program.outputs().to_vec();
@@ -931,15 +925,13 @@ impl CostModel {
                 if plan.node(p).scatter != plan.node(id).scatter {
                     continue;
                 }
-                let divisor = if plan.node(id).colocated
-                    && plan.node(i).distribution.is_partitioned()
-                {
-                    plan.scatter_width(id) as f64
-                } else {
-                    1.0
-                };
-                let bytes =
-                    program.node(p).annotations.est_bytes.unwrap_or(64_000.0) / divisor;
+                let divisor =
+                    if plan.node(id).colocated && plan.node(i).distribution.is_partitioned() {
+                        plan.scatter_width(id) as f64
+                    } else {
+                        1.0
+                    };
+                let bytes = program.node(p).annotations.est_bytes.unwrap_or(64_000.0) / divisor;
                 if producer.is_none_or(|(_, b)| bytes > b) {
                     producer = Some((p, bytes));
                 }
@@ -950,8 +942,7 @@ impl CostModel {
                 let fleet = self.shard_fleet(shard);
                 let solo_c = slot_secs[&id][k];
                 let host_c =
-                    match Self::node_cost_on(fleet, &node.op, DeviceKind::Cpu, c_rows, c_bytes)
-                    {
+                    match Self::node_cost_on(fleet, &node.op, DeviceKind::Cpu, c_rows, c_bytes) {
                         Some(t) => t.as_secs(),
                         None => continue,
                     };
@@ -964,12 +955,7 @@ impl CostModel {
                     if pick == b.device || pick == DeviceKind::Cpu {
                         let (_, edge_bytes) = producer.unwrap();
                         if let Some(body) = self.fused_member_cost(
-                            fleet,
-                            &node.op,
-                            b.device,
-                            c_rows,
-                            c_bytes,
-                            edge_bytes,
+                            fleet, &node.op, b.device, c_rows, c_bytes, edge_bytes,
                         ) {
                             // Never extend past the point where the
                             // member itself regresses vs its solo cost.
@@ -1001,16 +987,11 @@ impl CostModel {
                 let p_node = program.node(p);
                 let (p_rows, p_bytes) = volumes[&p];
                 let solo_p = slot_secs[&p][k];
-                let host_p = match Self::node_cost_on(
-                    fleet,
-                    &p_node.op,
-                    DeviceKind::Cpu,
-                    p_rows,
-                    p_bytes,
-                ) {
-                    Some(t) => t.as_secs(),
-                    None => continue,
-                };
+                let host_p =
+                    match Self::node_cost_on(fleet, &p_node.op, DeviceKind::Cpu, p_rows, p_bytes) {
+                        Some(t) => t.as_secs(),
+                        None => continue,
+                    };
                 let p_pick = device_picks[&(p, shard)];
                 let c_pick = device_picks[&(id, shard)];
                 let mut best: Option<(DeviceKind, f64, f64)> = None;
@@ -1035,9 +1016,9 @@ impl CostModel {
                     else {
                         continue;
                     };
-                    let Some(body) = self.fused_member_cost(
-                        fleet, &node.op, device, c_rows, c_bytes, edge_bytes,
-                    ) else {
+                    let Some(body) = self
+                        .fused_member_cost(fleet, &node.op, device, c_rows, c_bytes, edge_bytes)
+                    else {
                         continue;
                     };
                     let head = head.as_secs();
@@ -1103,9 +1084,7 @@ impl CostModel {
                 device_picks.insert((nid, b.shard), b.device);
                 slot_secs.get_mut(&nid).unwrap()[b.slot] = secs;
                 let width = plan.node(nid).scatter.len();
-                fusion_tags
-                    .entry(nid)
-                    .or_insert_with(|| vec![None; width])[b.slot] =
+                fusion_tags.entry(nid).or_insert_with(|| vec![None; width])[b.slot] =
                     Some(FusionTag { chain, pos, len });
             }
             chains.push(FusedChain {
@@ -1165,30 +1144,23 @@ impl CostModel {
                     let queue = servers
                         .entry(domain)
                         .or_insert_with(|| vec![0.0; cap.max(1)]);
-                    let (si, avail) = queue
-                        .iter()
-                        .enumerate()
-                        .fold((0usize, f64::INFINITY), |(bi, bt), (i, &t)| {
+                    let (si, avail) = queue.iter().enumerate().fold(
+                        (0usize, f64::INFINITY),
+                        |(bi, bt), (i, &t)| {
                             if t < bt {
                                 (i, t)
                             } else {
                                 (bi, bt)
                             }
-                        });
+                        },
+                    );
                     let secs = slot_secs[&id][k];
-                    let fused = fusion_tags
-                        .get(&id)
-                        .and_then(|v| v[k])
-                        .is_some();
+                    let fused = fusion_tags.get(&id).and_then(|v| v[k]).is_some();
                     if !fused && avail > 0.0 {
                         let (rows, bytes) = volumes[&id];
-                        if let Some(host) = Self::node_cost_on(
-                            fleet,
-                            &node.op,
-                            DeviceKind::Cpu,
-                            rows,
-                            bytes,
-                        ) {
+                        if let Some(host) =
+                            Self::node_cost_on(fleet, &node.op, DeviceKind::Cpu, rows, bytes)
+                        {
                             let host = host.as_secs();
                             if host < avail + secs {
                                 // Waiting beats the fiction of
@@ -1999,8 +1971,10 @@ mod tests {
             (p, t1, t2)
         };
 
-        let contended =
-            CostModel::new(AcceleratorFleet::workstation().with_capacity(DeviceKind::Tpu, 1), stats.clone());
+        let contended = CostModel::new(
+            AcceleratorFleet::workstation().with_capacity(DeviceKind::Tpu, 1),
+            stats.clone(),
+        );
         let (mut p1, t1, t2) = program();
         let plan = contended.place(&mut p1).unwrap();
         // Training's device win is enormous, so the loser waits rather
@@ -2017,8 +1991,10 @@ mod tests {
         );
 
         // Two physical TPUs: no queue, identical estimates.
-        let wide =
-            CostModel::new(AcceleratorFleet::workstation().with_capacity(DeviceKind::Tpu, 2), stats.clone());
+        let wide = CostModel::new(
+            AcceleratorFleet::workstation().with_capacity(DeviceKind::Tpu, 2),
+            stats.clone(),
+        );
         let (mut p2, w1, w2) = program();
         let plan2 = wide.place(&mut p2).unwrap();
         assert_eq!(plan2.queue_wait_seconds, 0.0);
@@ -2075,5 +2051,3 @@ mod tests {
         assert_eq!(plan.queue_wait_seconds, 0.0, "a fallback never waits");
     }
 }
-
-

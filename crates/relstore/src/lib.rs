@@ -225,20 +225,19 @@ impl RelationalStore {
         let t = self.table(table)?;
         let (candidate_rows, index_used) = t.candidates(predicate)?;
         let scanned = candidate_rows.len() as u64;
+        let idx: Option<Vec<usize>> = projection
+            .map(|cols| cols.iter().map(|c| t.schema().require(c)).collect())
+            .transpose()?;
         let mut out = Vec::new();
         let mut scanned_bytes = 0u64;
         for row in candidate_rows {
             scanned_bytes += row.byte_size() as u64;
             if predicate.eval(t.schema(), row)? {
-                out.push(row.clone());
+                out.push(match &idx {
+                    Some(idx) => row.project(idx),
+                    None => row.clone(),
+                });
             }
-        }
-        if let Some(cols) = projection {
-            let idx: Vec<usize> = cols
-                .iter()
-                .map(|c| t.schema().require(c))
-                .collect::<Result<_>>()?;
-            out = out.iter().map(|r| r.project(&idx)).collect();
         }
         let cycles = if index_used {
             // B-tree descent + candidate fetch.

@@ -8,6 +8,7 @@
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 
 use serde::{Deserialize, Serialize};
 
@@ -101,11 +102,11 @@ impl AggregateSpec {
 /// # Errors
 ///
 /// Propagates predicate evaluation errors (unknown columns).
-pub fn filter_rows(schema: &Schema, rows: Vec<Row>, predicate: &Predicate) -> Result<Vec<Row>> {
-    let mut out = Vec::with_capacity(rows.len());
+pub fn filter_rows(schema: &Schema, rows: &[Row], predicate: &Predicate) -> Result<Vec<Row>> {
+    let mut out = Vec::new();
     for row in rows {
-        if predicate.eval(schema, &row)? {
-            out.push(row);
+        if predicate.eval(schema, row)? {
+            out.push(row.clone());
         }
     }
     Ok(out)
@@ -168,20 +169,33 @@ pub fn hash_join(
     let ri = right_schema.require(right_on)?;
     let out_schema = left_schema.join(right_schema);
 
-    // Build on the smaller side conceptually; here build on right.
-    let mut table: HashMap<&Value, Vec<&Row>> = HashMap::new();
-    for r in right {
-        if !r[ri].is_null() {
-            table.entry(&r[ri]).or_default().push(r);
+    // Build on the right: each key maps to the (first, last) of its
+    // rows, chained in input order through `next`, so the build side
+    // allocates one map and one vector however many keys repeat.
+    const END: usize = usize::MAX;
+    let mut table: HashMap<&Value, (usize, usize)> = HashMap::with_capacity(right.len());
+    let mut next = vec![END; right.len()];
+    for (j, r) in right.iter().enumerate() {
+        if r[ri].is_null() {
+            continue;
         }
+        table
+            .entry(&r[ri])
+            .and_modify(|(_, last)| {
+                next[*last] = j;
+                *last = j;
+            })
+            .or_insert((j, j));
     }
     let mut out = Vec::new();
-    let null_right = Row::from(vec![Value::Null; right_schema.arity()]);
+    let null_right: Row = std::iter::repeat_n(Value::Null, right_schema.arity()).collect();
     for l in left {
         match table.get(&l[li]) {
-            Some(matches) if !l[li].is_null() => {
-                for r in matches {
-                    out.push(l.concat(r));
+            Some(&(first, _)) if !l[li].is_null() => {
+                let mut j = first;
+                while j != END {
+                    out.push(l.concat(&right[j]));
+                    j = next[j];
                 }
             }
             _ => {
@@ -274,7 +288,6 @@ pub fn merge_group_partials(
     let out_schema = Schema::from_fields(out_fields);
 
     /// One aggregate's merge state.
-    #[derive(Clone)]
     enum MergeAcc {
         /// Count / CountNonNull: running integer total.
         Ints(i64),
@@ -300,17 +313,18 @@ pub fn merge_group_partials(
             .ok_or_else(|| Error::SchemaMismatch(format!("expected numeric partial, got {v:?}")))
     };
 
-    let mut groups: HashMap<Vec<Value>, Vec<MergeAcc>> = HashMap::new();
-    let mut order: Vec<Vec<Value>> = Vec::new();
+    let key_cols: Vec<usize> = (0..key_count).collect();
+    let mut groups = Groups::new(&key_cols);
+    let mut states: Vec<MergeAcc> = Vec::new();
     for row in partial_rows {
-        let key: Vec<Value> = (0..key_count).map(|i| row[i].clone()).collect();
-        let accs = groups.entry(key.clone()).or_insert_with(|| {
-            order.push(key.clone());
-            aggs.iter().map(fresh).collect()
-        });
+        let (g, new) = groups.group_of(row);
+        if new {
+            states.extend(aggs.iter().map(fresh));
+        }
+        let accs = &mut states[g * aggs.len()..(g + 1) * aggs.len()];
         let mut col = key_count;
-        for (a, spec) in aggs.iter().enumerate() {
-            match &mut accs[a] {
+        for (acc, spec) in accs.iter_mut().zip(aggs) {
+            match acc {
                 MergeAcc::Ints(n) => *n += int_state(&row[col])?,
                 MergeAcc::Floats(s) => *s += float_state(&row[col])?,
                 MergeAcc::Ratio(s, n) => {
@@ -335,21 +349,13 @@ pub fn merge_group_partials(
         }
     }
 
-    let mut out = Vec::with_capacity(order.len());
-    for key in order {
-        let accs = &groups[&key];
-        let mut row: Vec<Value> = key;
-        for acc in accs {
-            row.push(match acc {
-                MergeAcc::Ints(n) => Value::Int(*n),
-                MergeAcc::Floats(s) => Value::Float(*s),
-                MergeAcc::Ratio(_, 0) => Value::Null,
-                MergeAcc::Ratio(s, n) => Value::Float(s / *n as f64),
-                MergeAcc::Extremum(m) => m.clone().unwrap_or(Value::Null),
-            });
-        }
-        out.push(Row::from(row));
-    }
+    let out = groups.finish(&states, aggs.len(), |_, acc| match acc {
+        MergeAcc::Ints(n) => Value::Int(*n),
+        MergeAcc::Floats(s) => Value::Float(*s),
+        MergeAcc::Ratio(_, 0) => Value::Null,
+        MergeAcc::Ratio(s, n) => Value::Float(s / *n as f64),
+        MergeAcc::Extremum(m) => m.clone().unwrap_or(Value::Null),
+    });
     Ok((out_schema, out))
 }
 
@@ -456,32 +462,32 @@ pub fn group_by(
     }
     let out_schema = Schema::from_fields(out_fields);
 
-    #[derive(Clone)]
+    /// One aggregate's running state within a group.
+    #[derive(Clone, Default)]
     struct Acc {
+        /// Rows counted: every row for `Count`, the non-null inputs
+        /// otherwise (the `Avg` divisor).
         count: i64,
-        sums: Vec<f64>,
-        mins: Vec<Option<Value>>,
-        maxs: Vec<Option<Value>>,
-        counts: Vec<i64>,
+        /// Sum of non-null inputs (`Sum`, `Avg`).
+        sum: f64,
+        /// Current extremum (`Min`, `Max`).
+        extremum: Option<Value>,
     }
-    let mut groups: HashMap<Vec<Value>, Acc> = HashMap::new();
-    let mut order: Vec<Vec<Value>> = Vec::new();
+    let mut groups = Groups::new(&key_idx);
+    let mut states: Vec<Acc> = Vec::new();
 
     for row in rows {
-        let key: Vec<Value> = key_idx.iter().map(|&i| row[i].clone()).collect();
-        let acc = groups.entry(key.clone()).or_insert_with(|| {
-            order.push(key.clone());
-            Acc {
-                count: 0,
-                sums: vec![0.0; aggs.len()],
-                mins: vec![None; aggs.len()],
-                maxs: vec![None; aggs.len()],
-                counts: vec![0; aggs.len()],
-            }
-        });
-        acc.count += 1;
-        for (a, (spec, idx)) in aggs.iter().zip(&agg_idx).enumerate() {
-            let Some(idx) = idx else { continue };
+        let (g, new) = groups.group_of(row);
+        if new {
+            states.extend(std::iter::repeat_n(Acc::default(), aggs.len()));
+        }
+        let accs = &mut states[g * aggs.len()..(g + 1) * aggs.len()];
+        for (acc, (spec, idx)) in accs.iter_mut().zip(aggs.iter().zip(&agg_idx)) {
+            // Only `Count` has no input column: it counts every row.
+            let Some(idx) = idx else {
+                acc.count += 1;
+                continue;
+            };
             let v = &row[*idx];
             if v.is_null() {
                 continue;
@@ -491,55 +497,113 @@ pub fn group_by(
                     let x = v.as_f64().ok_or_else(|| {
                         Error::SchemaMismatch(format!("cannot aggregate {v:?} numerically"))
                     })?;
-                    acc.sums[a] += x;
-                    acc.counts[a] += 1;
+                    acc.sum += x;
+                    acc.count += 1;
                 }
                 Aggregate::Min => {
-                    if acc.mins[a].as_ref().is_none_or(|m| v < m) {
-                        acc.mins[a] = Some(v.clone());
+                    if acc.extremum.as_ref().is_none_or(|m| v < m) {
+                        acc.extremum = Some(v.clone());
                     }
                 }
                 Aggregate::Max => {
-                    if acc.maxs[a].as_ref().is_none_or(|m| v > m) {
-                        acc.maxs[a] = Some(v.clone());
+                    if acc.extremum.as_ref().is_none_or(|m| v > m) {
+                        acc.extremum = Some(v.clone());
                     }
                 }
-                Aggregate::CountNonNull => acc.counts[a] += 1,
-                Aggregate::Count => {}
+                Aggregate::CountNonNull | Aggregate::Count => acc.count += 1,
             }
         }
     }
 
-    let mut out = Vec::with_capacity(order.len());
-    for key in order {
-        let acc = &groups[&key];
-        let mut row: Vec<Value> = key.clone();
-        for (a, spec) in aggs.iter().enumerate() {
-            row.push(match spec.agg {
-                Aggregate::Count => Value::Int(acc.count),
-                Aggregate::Sum => Value::Float(acc.sums[a]),
-                Aggregate::Avg => {
-                    if acc.counts[a] == 0 {
-                        Value::Null
-                    } else {
-                        Value::Float(acc.sums[a] / acc.counts[a] as f64)
-                    }
-                }
-                Aggregate::Min => acc.mins[a].clone().unwrap_or(Value::Null),
-                Aggregate::Max => acc.maxs[a].clone().unwrap_or(Value::Null),
-                Aggregate::CountNonNull => Value::Int(acc.counts[a]),
-            });
-        }
-        out.push(Row::from(row));
-    }
+    let out = groups.finish(&states, aggs.len(), |a, acc| match aggs[a].agg {
+        Aggregate::Count | Aggregate::CountNonNull => Value::Int(acc.count),
+        Aggregate::Sum => Value::Float(acc.sum),
+        Aggregate::Avg if acc.count == 0 => Value::Null,
+        Aggregate::Avg => Value::Float(acc.sum / acc.count as f64),
+        Aggregate::Min | Aggregate::Max => acc.extremum.clone().unwrap_or(Value::Null),
+    });
     Ok((out_schema, out))
 }
 
+/// One row's group-key columns, hashed and compared in place so a group
+/// lookup borrows the row instead of building a key.
+struct GroupKey<'a> {
+    row: &'a Row,
+    cols: &'a [usize],
+}
+
+impl Hash for GroupKey<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        for &c in self.cols {
+            self.row[c].hash(state);
+        }
+    }
+}
+
+impl PartialEq for GroupKey<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cols.iter().all(|&c| self.row[c] == other.row[c])
+    }
+}
+
+impl Eq for GroupKey<'_> {}
+
+/// Rows grouped by key columns in first-seen order. Each group's state
+/// lives in a caller-owned flat vector, `width` slots per group, so a
+/// new group costs one map entry and no per-group allocation.
+struct Groups<'a> {
+    cols: &'a [usize],
+    index: HashMap<GroupKey<'a>, usize>,
+    /// Each group's first row, which supplies its output key.
+    firsts: Vec<&'a Row>,
+}
+
+impl<'a> Groups<'a> {
+    fn new(cols: &'a [usize]) -> Self {
+        Groups {
+            cols,
+            index: HashMap::new(),
+            firsts: Vec::new(),
+        }
+    }
+
+    /// The dense index of `row`'s group, and whether `row` opened it.
+    fn group_of(&mut self, row: &'a Row) -> (usize, bool) {
+        let next = self.firsts.len();
+        let key = GroupKey {
+            row,
+            cols: self.cols,
+        };
+        let g = *self.index.entry(key).or_insert(next);
+        if g == next {
+            self.firsts.push(row);
+        }
+        (g, g == next)
+    }
+
+    /// One output row per group in first-seen order: the key columns,
+    /// then `finalize(slot, state)` over the group's `width` states.
+    fn finish<S>(
+        self,
+        states: &[S],
+        width: usize,
+        finalize: impl Fn(usize, &S) -> Value,
+    ) -> Vec<Row> {
+        self.firsts
+            .iter()
+            .enumerate()
+            .map(|(g, first)| {
+                let keys = self.cols.iter().map(|&c| first[c].clone());
+                let accs = states[g * width..(g + 1) * width].iter().enumerate();
+                keys.chain(accs.map(|(a, s)| finalize(a, s))).collect()
+            })
+            .collect()
+    }
+}
+
 /// Limits rows to the first `n`.
-pub fn limit(rows: Vec<Row>, n: usize) -> Vec<Row> {
-    let mut rows = rows;
-    rows.truncate(n);
-    rows
+pub fn limit(rows: &[Row], n: usize) -> Vec<Row> {
+    rows[..n.min(rows.len())].to_vec()
 }
 
 #[cfg(test)]
@@ -727,12 +791,12 @@ mod tests {
     fn filter_project_limit() {
         let s = Schema::new(vec![("a", DataType::Int), ("b", DataType::Int)]);
         let rows: Vec<Row> = (0..10).map(|i| row![i as i64, (i * i) as i64]).collect();
-        let f = filter_rows(&s, rows, &Predicate::ge("a", 5i64)).unwrap();
+        let f = filter_rows(&s, &rows, &Predicate::ge("a", 5i64)).unwrap();
         assert_eq!(f.len(), 5);
         let (ps, p) = project(&s, &f, &["b"]).unwrap();
         assert_eq!(ps.arity(), 1);
         assert_eq!(p[0], row![25i64]);
-        assert_eq!(limit(p, 2).len(), 2);
+        assert_eq!(limit(&p, 2).len(), 2);
     }
 
     #[test]

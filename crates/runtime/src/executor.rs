@@ -171,6 +171,14 @@ impl Task {
     }
 }
 
+/// Per-shard output datasets of the nodes a fanned-out consumer reads
+/// shard by shard, in slot order.
+type ShardPartials = HashMap<NodeId, Vec<Dataset>>;
+
+/// One executed fused-chain member: chain position, node, shard,
+/// device, and the seconds its resident links saved.
+type ChainMember = (usize, NodeId, ShardId, DeviceKind, f64);
+
 /// Everything one (node, shard) task produced, staged for deterministic
 /// merging after its stage joins.
 #[derive(Debug)]
@@ -205,6 +213,28 @@ struct NodeRun {
 }
 
 impl NodeRun {
+    /// Folds a node's task runs, in task order, into one shard-ordered
+    /// gather (see [`NodeRun::absorb`]), sizing the gathered rows once.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Execution`] when the group is empty or a task
+    /// produced a non-row partial.
+    fn gather(id: NodeId, group: Vec<NodeRun>) -> Result<NodeRun> {
+        let total: usize = group.iter().map(|r| r.output.len()).sum();
+        let mut it = group.into_iter();
+        let mut acc = it
+            .next()
+            .ok_or_else(|| Error::Execution(format!("node {id} ran no tasks")))?;
+        if let Payload::Rows { rows, .. } = &mut acc.output.payload {
+            rows.reserve_exact(total - rows.len());
+        }
+        for next in it {
+            acc.absorb(next)?;
+        }
+        Ok(acc)
+    }
+
     /// Folds the next shard's partial into this run (shard-ordered
     /// gather): rows concatenate in shard order, simulated execution
     /// and critical-path time are the slowest replica's (shards run on
@@ -403,7 +433,7 @@ impl Executor {
         let mut results: HashMap<NodeId, Dataset> = HashMap::new();
         // Per-shard partials of nodes feeding colocated consumers, in
         // scatter (gather) order.
-        let mut partials: HashMap<NodeId, Vec<Dataset>> = HashMap::new();
+        let mut partials: ShardPartials = HashMap::new();
         let mut node_seconds: HashMap<NodeId, f64> = HashMap::new();
         let mut node_total: HashMap<NodeId, f64> = HashMap::new();
         let mut migration_seconds = 0.0f64;
@@ -477,10 +507,8 @@ impl Executor {
         // tags: same indices as the plan's chains, members in chain
         // position order, savings summed from the charger's resident-
         // link discounts.
-        let mut executed_chains: std::collections::BTreeMap<
-            usize,
-            Vec<(usize, NodeId, ShardId, DeviceKind, f64)>,
-        > = std::collections::BTreeMap::new();
+        let mut executed_chains: std::collections::BTreeMap<usize, Vec<ChainMember>> =
+            std::collections::BTreeMap::new();
         let mut queue_wait_seconds = 0.0f64;
         for trace in &traces {
             for task in &trace.tasks {
@@ -632,7 +660,7 @@ impl Executor {
         id: NodeId,
         slot: Option<usize>,
         results: &HashMap<NodeId, Dataset>,
-        partials: &HashMap<NodeId, Vec<Dataset>>,
+        partials: &ShardPartials,
         plan: &ShardPlan,
     ) -> Result<Vec<Dataset>> {
         let info = plan.node(id);
@@ -827,16 +855,15 @@ impl Executor {
     /// thread scheduling. The second return value holds the per-shard
     /// outputs of nodes whose plan marks them `partials_needed` (a
     /// fanned-out consumer reads them).
-    #[allow(clippy::type_complexity)]
     fn run_stage(
         &self,
         program: &Program,
         compute: &[NodeId],
         results: &HashMap<NodeId, Dataset>,
-        partials: &HashMap<NodeId, Vec<Dataset>>,
+        partials: &ShardPartials,
         plan: &ShardPlan,
         registry: &EngineRegistry,
-    ) -> Result<(Vec<NodeRun>, HashMap<NodeId, Vec<Dataset>>)> {
+    ) -> Result<(Vec<NodeRun>, ShardPartials)> {
         // The scatter plan, derived from each node's exchange edges.
         let mut tasks: Vec<Task> = Vec::new();
         let mut barriers: HashMap<NodeId, ShuffleBarrier> = HashMap::new();
@@ -919,7 +946,7 @@ impl Executor {
             }
         }
         let mut merged: Vec<NodeRun> = Vec::with_capacity(groups.len());
-        let mut shard_outputs: HashMap<NodeId, Vec<Dataset>> = HashMap::new();
+        let mut shard_outputs: ShardPartials = HashMap::new();
         for (id, group) in groups {
             let info = plan.node(id);
             if info.partials_needed {
@@ -933,12 +960,7 @@ impl Executor {
             } else if info.merges_partials() && !demoted.contains(&id) {
                 self.merge_partial_runs(program, id, group)?
             } else {
-                let mut it = group.into_iter();
-                let mut acc = it.next().expect("every group has a task");
-                for next in it {
-                    acc.absorb(next)?;
-                }
-                acc
+                NodeRun::gather(id, group)?
             };
             merged.push(run);
         }
@@ -970,7 +992,7 @@ impl Executor {
     fn merge_would_reassociate_floats(
         program: &Program,
         id: NodeId,
-        partials: &HashMap<NodeId, Vec<Dataset>>,
+        partials: &ShardPartials,
         plan: &ShardPlan,
     ) -> Result<bool> {
         let Operator::GroupBy { aggs, .. } = &program.node(id).op else {
@@ -1011,18 +1033,31 @@ impl Executor {
         group: Vec<NodeRun>,
         barrier: &ShuffleBarrier,
     ) -> Result<NodeRun> {
-        let mut tagged: Vec<(usize, Vec<Row>)> = Vec::new();
+        // Each destination's output, with one (origin, destination,
+        // length) chunk per probe row that matched.
+        let mut outputs: Vec<std::vec::IntoIter<Row>> = Vec::with_capacity(group.len());
+        let mut chunks: Vec<(usize, usize, usize)> = Vec::new();
         let mut acc: Option<NodeRun> = None;
         for (d, mut run) in group.into_iter().enumerate() {
             let counts = run.probe_counts.take().ok_or_else(|| {
                 Error::Execution(format!("shuffled task of {id} reported no match counts"))
             })?;
-            let out_rows = run.output.try_rows()?;
+            let Payload::Rows { rows, .. } = &mut run.output.payload else {
+                return Err(Error::Execution(format!(
+                    "shuffled node {id} produced a non-row output"
+                )));
+            };
+            let out_rows = std::mem::take(rows);
+            let origins = &barrier.probe_origins[d];
+            if counts.len() != origins.len() || origins.windows(2).any(|w| w[0] >= w[1]) {
+                return Err(Error::Execution(format!(
+                    "shuffle barrier for {id}: bucket {d} does not match its probe rows"
+                )));
+            }
             let mut offset = 0usize;
-            for (row_in_bucket, &origin) in barrier.probe_origins[d].iter().enumerate() {
-                let n = counts[row_in_bucket];
+            for (&origin, &n) in origins.iter().zip(&counts) {
                 if n > 0 {
-                    tagged.push((origin, out_rows[offset..offset + n].to_vec()));
+                    chunks.push((origin, d, n));
                     offset += n;
                 }
             }
@@ -1032,6 +1067,7 @@ impl Executor {
                     out_rows.len()
                 )));
             }
+            outputs.push(out_rows.into_iter());
             match &mut acc {
                 None => acc = Some(run),
                 Some(first) => {
@@ -1046,16 +1082,21 @@ impl Executor {
                 }
             }
         }
-        let mut run = acc.expect("every shuffled node has at least one task");
-        // Splice in probe order: each origin index is unique, and a
-        // stable sort keeps its chunk contiguous.
-        tagged.sort_by_key(|(origin, _)| *origin);
+        let mut run =
+            acc.ok_or_else(|| Error::Execution(format!("shuffled node {id} ran no tasks")))?;
+        // Splice in probe order: origins are unique, and each bucket
+        // lists its origins in ascending order, so walking the chunks by
+        // origin drains every destination's rows front to back.
+        chunks.sort_unstable_by_key(|&(origin, ..)| origin);
         let Payload::Rows { rows, .. } = &mut run.output.payload else {
             return Err(Error::Execution(format!(
                 "shuffled node {id} produced a non-row output"
             )));
         };
-        *rows = tagged.into_iter().flat_map(|(_, chunk)| chunk).collect();
+        rows.reserve_exact(outputs.iter().map(ExactSizeIterator::len).sum());
+        for (_, d, n) in chunks {
+            rows.extend(outputs[d].by_ref().take(n));
+        }
         // The exchange rides the node's critical path and charges its
         // rows as migration-class transfer work.
         run.migration_seconds += barrier.seconds + barrier.store_seconds;
@@ -1115,11 +1156,7 @@ impl Executor {
             )));
         };
         let width = group.len();
-        let mut it = group.into_iter();
-        let mut run = it.next().expect("every merged node has at least one task");
-        for next in it {
-            run.absorb(next)?;
-        }
+        let mut run = NodeRun::gather(id, group)?;
         let specs: Vec<pspp_relstore::AggregateSpec> = aggs
             .iter()
             .map(|a| {
@@ -1286,9 +1323,7 @@ impl Executor {
         } else {
             Charger::new(fleet)
                 .with_metrics(self.metrics.as_ref())
-                .with_resident_link(
-                    fused.filter(|tag| tag.pos > 0).map(|_| &resident_link),
-                )
+                .with_resident_link(fused.filter(|tag| tag.pos > 0).map(|_| &resident_link))
                 .charge_detailed(&scoped_ledger, op, device, work_rows as u64, work_bytes, id)
         };
         // A contended device serves this slot after its queue wait; the
@@ -2353,6 +2388,93 @@ mod tests {
                 Err(Error::Execution(msg)) => assert!(msg.contains("boom1"), "got {msg}"),
                 other => panic!("expected execution error, got {other:?}"),
             }
+        }
+    }
+
+    #[test]
+    fn empty_task_groups_are_typed_errors() {
+        let id = NodeId(0);
+        assert!(matches!(
+            NodeRun::gather(id, Vec::new()),
+            Err(Error::Execution(_))
+        ));
+        let barrier = ShuffleBarrier {
+            probe_origins: Vec::new(),
+            routed_rows: 0,
+            bytes: 0,
+            seconds: 0.0,
+            device: DeviceKind::Cpu,
+            served_rows: 0,
+            served_bytes: 0,
+            stored_bytes: 0,
+            store_seconds: 0.0,
+        };
+        assert!(matches!(
+            Executor::splice_shuffle(id, Vec::new(), &barrier),
+            Err(Error::Execution(_))
+        ));
+        let mut p = Program::new();
+        let s = p.add_source(Operator::scan(TableRef::new("db1", "admissions")), "sql");
+        let g = p.add_node(
+            Operator::GroupBy {
+                keys: vec!["age".into()],
+                aggs: vec![pspp_ir::AggSpec {
+                    func: AggFn::Count,
+                    column: "*".into(),
+                    output: "n".into(),
+                }],
+            },
+            vec![s],
+            "sql",
+        );
+        assert!(matches!(
+            exec().merge_partial_runs(&p, g, Vec::new()),
+            Err(Error::Execution(_))
+        ));
+    }
+
+    #[test]
+    fn filter_and_limit_share_the_stored_rows() {
+        let table = TableRef::new("db1", "admissions");
+        let mut sharded = registry();
+        sharded
+            .reshard(&table, pspp_common::PartitionSpec::hash("pid", 4))
+            .unwrap();
+        let stored: std::collections::HashSet<*const Value> = (0..4)
+            .flat_map(|k| {
+                let store = sharded.relational_shard(&table.engine, ShardId(k)).unwrap();
+                let rows = store.table(&table.name).unwrap().rows();
+                rows.iter().map(|r| r.values().as_ptr()).collect::<Vec<_>>()
+            })
+            .collect();
+        assert_eq!(stored.len(), 200);
+
+        let mut p = Program::new();
+        let s = p.add_source(Operator::scan(table.clone()), "sql");
+        let f = p.add_node(
+            Operator::Filter {
+                predicate: Predicate::ge("age", 50i64),
+            },
+            vec![s],
+            "sql",
+        );
+        let lim = p.add_node(Operator::Limit { n: 10 }, vec![f], "sql");
+        p.mark_output(f);
+        p.mark_output(lim);
+        let report = exec().execute(&p, &sharded).unwrap();
+        let (filtered, limited) = (&report.outputs[0], &report.outputs[1]);
+        assert!(filtered.len() > 10 && filtered.len() < 200);
+        assert_eq!(limited.len(), 10);
+        for row in filtered
+            .try_rows()
+            .unwrap()
+            .iter()
+            .chain(limited.try_rows().unwrap())
+        {
+            assert!(
+                stored.contains(&row.values().as_ptr()),
+                "row {row} was copied"
+            );
         }
     }
 }

@@ -46,7 +46,7 @@ impl EngineAdapter for KvAdapter {
                 let schema = Schema::new(vec![("key", DataType::Str), ("value", value_type)]);
                 let rows = pairs
                     .into_iter()
-                    .map(|(k, v)| Row::from(vec![Value::from(k.to_owned()), v.clone()]))
+                    .map(|(k, v)| Row::from([Value::from(k.to_owned()), v.clone()]))
                     .collect();
                 Ok(Dataset::rows(
                     schema,

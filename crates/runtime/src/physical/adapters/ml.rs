@@ -82,11 +82,7 @@ impl EngineAdapter for MlAdapter {
                     .try_rows()?
                     .iter()
                     .zip(&probs)
-                    .map(|(r, p)| {
-                        let mut vals = r.values().to_vec();
-                        vals.push(Value::Float(*p));
-                        Row::from(vals)
-                    })
+                    .map(|(r, p)| r.iter().cloned().chain([Value::Float(*p)]).collect())
                     .collect();
                 Ok(Dataset::rows(out_schema, rows, d.model, d.location.clone()))
             }
@@ -110,11 +106,7 @@ impl EngineAdapter for MlAdapter {
                     .try_rows()?
                     .iter()
                     .zip(&result.assignments)
-                    .map(|(r, &c)| {
-                        let mut vals = r.values().to_vec();
-                        vals.push(Value::Int(c as i64));
-                        Row::from(vals)
-                    })
+                    .map(|(r, &c)| r.iter().cloned().chain([Value::Int(c as i64)]).collect())
                     .collect();
                 Ok(Dataset::rows(out_schema, rows, d.model, d.location.clone()))
             }

@@ -67,7 +67,7 @@ impl EngineAdapter for RelationalAdapter {
             }
             Operator::Filter { predicate } => {
                 let d = &inputs[0];
-                let rows = ops::filter_rows(d.schema()?, d.try_rows()?.to_vec(), predicate)?;
+                let rows = ops::filter_rows(d.schema()?, d.try_rows()?, predicate)?;
                 Ok(Dataset::rows(d.schema()?.clone(), rows, d.model, loc(d)))
             }
             Operator::Project { columns } => {
@@ -127,7 +127,7 @@ impl EngineAdapter for RelationalAdapter {
             }
             Operator::Limit { n } => {
                 let d = &inputs[0];
-                let rows = ops::limit(d.try_rows()?.to_vec(), *n);
+                let rows = ops::limit(d.try_rows()?, *n);
                 Ok(Dataset::rows(d.schema()?.clone(), rows, d.model, loc(d)))
             }
             other => unsupported(self, other),

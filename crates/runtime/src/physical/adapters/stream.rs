@@ -58,7 +58,7 @@ impl EngineAdapter for StreamAdapter {
                 ]);
                 let rows = windows
                     .into_iter()
-                    .map(|(t, v)| Row::from(vec![Value::Int(t), Value::Float(v)]))
+                    .map(|(t, v)| Row::from([Value::Int(t), Value::Float(v)]))
                     .collect();
                 Ok(Dataset::rows(
                     schema,

@@ -44,7 +44,7 @@ impl EngineAdapter for TextAdapter {
                         (
                             Schema::new(vec![("doc_id", DataType::Int)]),
                             ids.into_iter()
-                                .map(|d| Row::from(vec![Value::Int(d as i64)]))
+                                .map(|d| Row::from([Value::Int(d as i64)]))
                                 .collect::<Vec<Row>>(),
                         )
                     }
@@ -53,7 +53,7 @@ impl EngineAdapter for TextAdapter {
                         (
                             Schema::new(vec![("doc_id", DataType::Int)]),
                             ids.into_iter()
-                                .map(|d| Row::from(vec![Value::Int(d as i64)]))
+                                .map(|d| Row::from([Value::Int(d as i64)]))
                                 .collect::<Vec<Row>>(),
                         )
                     }
@@ -65,9 +65,7 @@ impl EngineAdapter for TextAdapter {
                                 ("score", DataType::Float),
                             ]),
                             hits.into_iter()
-                                .map(|(d, s)| {
-                                    Row::from(vec![Value::Int(d as i64), Value::Float(s)])
-                                })
+                                .map(|(d, s)| Row::from([Value::Int(d as i64), Value::Float(s)]))
                                 .collect::<Vec<Row>>(),
                         )
                     }

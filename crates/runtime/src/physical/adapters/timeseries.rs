@@ -45,7 +45,7 @@ impl EngineAdapter for TimeseriesAdapter {
                 ]);
                 let rows = pts
                     .iter()
-                    .map(|&(t, v)| Row::from(vec![Value::Timestamp(t), Value::Float(v)]))
+                    .map(|&(t, v)| Row::from([Value::Timestamp(t), Value::Float(v)]))
                     .collect();
                 Ok(Dataset::rows(
                     schema,
@@ -80,7 +80,7 @@ impl EngineAdapter for TimeseriesAdapter {
                 let rows = windows
                     .into_iter()
                     .map(|(t, v)| {
-                        Row::from(vec![
+                        Row::from([
                             Value::Int(t / width.max(&1)),
                             Value::Int(t),
                             Value::Float(v),

@@ -178,8 +178,14 @@ mod tests {
         );
         assert!(text.contains("600.000us"), "actual column rendered: {text}");
         assert!(text.contains("host fallback"));
-        assert!(text.contains("fused=#0[2/2]"), "fused chain rendered: {text}");
-        assert!(text.contains("queue=20.000us"), "queue wait rendered: {text}");
+        assert!(
+            text.contains("fused=#0[2/2]"),
+            "fused chain rendered: {text}"
+        );
+        assert!(
+            text.contains("queue=20.000us"),
+            "queue wait rendered: {text}"
+        );
         assert!(text.contains("exchange.shuffle rows=240"));
         assert!(text.contains("exchange_rows=240"));
     }

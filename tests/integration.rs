@@ -70,7 +70,7 @@ fn clinical_nlq_end_to_end_model_quality() {
 #[test]
 fn migration_paths_agree_on_content() {
     let (schema, rows) = datagen::pipegen_rows(500, 3).expect("generated");
-    let batch = Batch::from_rows(&schema, rows.clone()).expect("valid batch");
+    let batch = Batch::from_rows(&schema, &rows).expect("valid batch");
     let migrator = Migrator::new();
     for path in [
         MigrationPath::CsvFile,
@@ -131,7 +131,7 @@ proptest! {
     #[test]
     fn binary_codec_roundtrips(n in 1usize..200, seed in 0u64..1000) {
         let (schema, rows) = datagen::pipegen_rows(n, seed).expect("generated");
-        let batch = Batch::from_rows(&schema, rows.clone()).expect("valid batch");
+        let batch = Batch::from_rows(&schema, &rows).expect("valid batch");
         let decoded = binary_decode(&schema, &binary_encode(&batch)).expect("decodes");
         prop_assert_eq!(decoded, rows);
     }

@@ -9,7 +9,7 @@ use polystorepp::optimizer::dse::ParetoFront;
 use polystorepp::optimizer::{CostModel, TableStats};
 use polystorepp::prelude::*;
 use polystorepp::relstore::ops;
-use polystorepp::relstore::{JoinKind, RelationalStore, SortKey};
+use polystorepp::relstore::{Aggregate, AggregateSpec, JoinKind, RelationalStore, SortKey};
 use polystorepp::runtime::{EngineInstance, EngineRegistry, Executor};
 use proptest::prelude::*;
 
@@ -104,8 +104,7 @@ fn arb_fleet() -> impl Strategy<Value = AcceleratorFleet> {
                     link: Interconnect::pcie(),
                 });
             }
-            let mut fleet =
-                AcceleratorFleet::new(DeviceProfile::cpu(), devices).expect("cpu host");
+            let mut fleet = AcceleratorFleet::new(DeviceProfile::cpu(), devices).expect("cpu host");
             if cap > 0 {
                 for kind in [DeviceKind::Gpu, DeviceKind::Fpga, DeviceKind::Tpu] {
                     fleet = fleet.with_capacity(kind, cap);
@@ -123,6 +122,126 @@ fn arb_value() -> impl Strategy<Value = Value> {
         (-1e9f64..1e9).prop_map(Value::Float),
         "[a-z ]{0,12}".prop_map(Value::from),
     ]
+}
+
+/// Column names of the operator-property table: two key candidates
+/// (`k1` Int, `k2` Str) and three aggregate inputs (`x` Int, `f` Float,
+/// `s` Str).
+const OP_COLUMNS: [&str; 5] = ["k1", "k2", "x", "f", "s"];
+
+fn op_schema() -> Schema {
+    Schema::new(vec![
+        ("k1", DataType::Int),
+        ("k2", DataType::Str),
+        ("x", DataType::Int),
+        ("f", DataType::Float),
+        ("s", DataType::Str),
+    ])
+}
+
+/// Raw cells of one operator-property row; `nulls` holds two bits per
+/// column and a column is NULL when both are clear (one in four).
+type OpCells = (i64, String, i64, f64, String, u32);
+
+fn arb_op_rows() -> impl Strategy<Value = Vec<OpCells>> {
+    prop::collection::vec(
+        (
+            0i64..4,
+            "[ab]{0,1}",
+            -50i64..50,
+            -1e3f64..1e3,
+            "[a-c]{0,2}",
+            0u32..1024,
+        ),
+        0..60,
+    )
+}
+
+fn op_rows(cells: &[OpCells]) -> Vec<Row> {
+    cells
+        .iter()
+        .map(|(k1, k2, x, f, s, nulls)| {
+            let values = [
+                Value::Int(*k1),
+                Value::Str(k2.clone()),
+                Value::Int(*x),
+                Value::Float(*f),
+                Value::Str(s.clone()),
+            ];
+            values
+                .into_iter()
+                .enumerate()
+                .map(|(c, v)| {
+                    if (nulls >> (2 * c)) & 3 == 0 {
+                        Value::Null
+                    } else {
+                        v
+                    }
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Reference aggregation over plain rows, sharing no code with the
+/// relational store: groups by linear search in first-seen order and
+/// recomputes every aggregate from the group's rows. `aggs` pairs each
+/// function with its input column index.
+fn reference_group_by(rows: &[Row], keys: &[usize], aggs: &[(Aggregate, usize)]) -> Vec<Row> {
+    let mut groups: Vec<(Vec<Value>, Vec<&Row>)> = Vec::new();
+    for row in rows {
+        let key: Vec<Value> = keys.iter().map(|&k| row[k].clone()).collect();
+        match groups.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, members)) => members.push(row),
+            None => groups.push((key, vec![row])),
+        }
+    }
+    let number = |v: &Value| match v {
+        Value::Int(i) => *i as f64,
+        Value::Float(f) => *f,
+        other => panic!("non-numeric aggregate input {other:?}"),
+    };
+    groups
+        .into_iter()
+        .map(|(key, members)| {
+            let mut out = key;
+            for &(agg, col) in aggs {
+                let present: Vec<&Value> = members
+                    .iter()
+                    .map(|r| &r[col])
+                    .filter(|v| !v.is_null())
+                    .collect();
+                let sum = || present.iter().fold(0.0, |acc, v| acc + number(v));
+                out.push(match agg {
+                    Aggregate::Count => Value::Int(members.len() as i64),
+                    Aggregate::CountNonNull => Value::Int(present.len() as i64),
+                    Aggregate::Sum => Value::Float(sum()),
+                    Aggregate::Avg if present.is_empty() => Value::Null,
+                    Aggregate::Avg => Value::Float(sum() / present.len() as f64),
+                    Aggregate::Min => present.iter().min().map_or(Value::Null, |v| (*v).clone()),
+                    Aggregate::Max => present.iter().max().map_or(Value::Null, |v| (*v).clone()),
+                });
+            }
+            Row::from(out)
+        })
+        .collect()
+}
+
+/// The aggregate functions the operator properties draw from.
+const AGGREGATES: [Aggregate; 6] = [
+    Aggregate::Count,
+    Aggregate::Sum,
+    Aggregate::Avg,
+    Aggregate::Min,
+    Aggregate::Max,
+    Aggregate::CountNonNull,
+];
+
+fn agg_specs(aggs: &[(Aggregate, usize)]) -> Vec<AggregateSpec> {
+    aggs.iter()
+        .enumerate()
+        .map(|(j, &(agg, col))| AggregateSpec::new(agg, OP_COLUMNS[col], format!("a{j}")))
+        .collect()
 }
 
 proptest! {
@@ -171,7 +290,7 @@ proptest! {
             .iter()
             .map(|(i, s, b)| row![*i, s.clone(), *b])
             .collect();
-        let batch = Batch::from_rows(&schema, rows.clone()).expect("valid batch");
+        let batch = Batch::from_rows(&schema, &rows).expect("valid batch");
         let decoded = csv::decode(&schema, &csv::encode(&batch)).expect("decodes");
         prop_assert_eq!(decoded, rows);
     }
@@ -631,6 +750,164 @@ proptest! {
         prop_assert_eq!(tree.root.duration.to_bits(), traced.makespan().to_bits());
         prop_assert!(tree.root.critical);
         prop_assert!(!tree.critical_path().is_empty());
+    }
+
+    /// `group_by` matches the reference aggregation byte for byte:
+    /// 0–2 keys (Int and Str, with NULL keys grouping together), every
+    /// aggregate over Int, Float and Str inputs with NULLs, groups in
+    /// first-seen order.
+    #[test]
+    fn group_by_matches_reference(
+        cells in arb_op_rows(),
+        key_count in 0usize..3,
+        swap_keys in any::<bool>(),
+        picks in prop::collection::vec((0usize..6, 2usize..5), 0..6),
+    ) {
+        let rows = op_rows(&cells);
+        let mut keys: Vec<usize> = (0..key_count).collect();
+        if swap_keys {
+            keys.reverse();
+        }
+        let key_names: Vec<&str> = keys.iter().map(|&k| OP_COLUMNS[k]).collect();
+        // Sum and Avg need a numeric input: the Str column falls back to x.
+        let aggs: Vec<(Aggregate, usize)> = picks
+            .iter()
+            .map(|&(f, col)| {
+                let agg = AGGREGATES[f];
+                let numeric = matches!(agg, Aggregate::Sum | Aggregate::Avg);
+                (agg, if numeric && col == 4 { 2 } else { col })
+            })
+            .collect();
+        let (schema, got) =
+            ops::group_by(&op_schema(), &rows, &key_names, &agg_specs(&aggs)).expect("groups");
+        prop_assert_eq!(schema.arity(), keys.len() + aggs.len());
+        let want = reference_group_by(&rows, &keys, &aggs);
+        prop_assert_eq!(format!("{got:?}"), format!("{want:?}"));
+    }
+
+    /// Per-shard partial states merged by `merge_group_partials` match
+    /// the reference aggregation over the whole input on an integer
+    /// column, for any split of the rows into contiguous shards.
+    #[test]
+    fn merged_partials_match_reference(
+        cells in arb_op_rows(),
+        cuts in prop::collection::vec(0usize..60, 0..4),
+        key_count in 0usize..3,
+        picks in prop::collection::vec(0usize..6, 1..6),
+    ) {
+        let rows = op_rows(&cells);
+        let keys: Vec<usize> = (0..key_count).collect();
+        let key_names: Vec<&str> = keys.iter().map(|&k| OP_COLUMNS[k]).collect();
+        let aggs: Vec<(Aggregate, usize)> = picks.iter().map(|&f| (AGGREGATES[f], 2)).collect();
+        // The partial layout: one state column per aggregate, two
+        // (sum, non-null count) for Avg.
+        let partial: Vec<AggregateSpec> = aggs
+            .iter()
+            .enumerate()
+            .flat_map(|(j, &(agg, _))| match agg {
+                Aggregate::Avg => vec![
+                    AggregateSpec::new(Aggregate::Sum, "x", format!("p{j}_sum")),
+                    AggregateSpec::new(Aggregate::CountNonNull, "x", format!("p{j}_n")),
+                ],
+                other => vec![AggregateSpec::new(other, "x", format!("p{j}"))],
+            })
+            .collect();
+        let mut bounds: Vec<usize> = cuts.iter().map(|&c| c.min(rows.len())).collect();
+        bounds.push(0);
+        bounds.push(rows.len());
+        bounds.sort_unstable();
+        let mut partial_schema = None;
+        let mut partial_rows = Vec::new();
+        for w in bounds.windows(2) {
+            let (schema, states) = ops::group_by(&op_schema(), &rows[w[0]..w[1]], &key_names, &partial)
+                .expect("partial groups");
+            partial_schema = Some(schema);
+            partial_rows.extend(states);
+        }
+        let partial_schema = partial_schema.expect("at least one shard");
+        let (schema, got) =
+            ops::merge_group_partials(&partial_schema, &partial_rows, keys.len(), &agg_specs(&aggs))
+                .expect("merges");
+        prop_assert_eq!(schema.arity(), keys.len() + aggs.len());
+        let want = reference_group_by(&rows, &keys, &aggs);
+        prop_assert_eq!(format!("{got:?}"), format!("{want:?}"));
+    }
+
+    /// `filter_rows` keeps exactly the rows the reference predicate
+    /// keeps, in input order (NULL never satisfies a comparison), and
+    /// `limit` keeps their first `n`.
+    #[test]
+    fn filter_and_limit_match_reference(
+        cells in arb_op_rows(),
+        which in 0usize..4,
+        threshold in -60i64..60,
+        n in 0usize..70,
+    ) {
+        let rows = op_rows(&cells);
+        let key = threshold.rem_euclid(4);
+        let predicate = match which {
+            0 => Predicate::ge("x", threshold),
+            1 => Predicate::lt("x", threshold),
+            2 => Predicate::eq("k1", key),
+            _ => Predicate::IsNull("s".into()),
+        };
+        let keep = |r: &Row| match which {
+            0 => matches!(r[2], Value::Int(v) if v >= threshold),
+            1 => matches!(r[2], Value::Int(v) if v < threshold),
+            2 => matches!(r[0], Value::Int(v) if v == key),
+            _ => r[4].is_null(),
+        };
+        let got = ops::filter_rows(&op_schema(), &rows, &predicate).expect("filters");
+        let want: Vec<Row> = rows.iter().filter(|r| keep(r)).cloned().collect();
+        prop_assert_eq!(format!("{got:?}"), format!("{want:?}"));
+        let limited = ops::limit(&got, n);
+        let want_limited: Vec<Row> = want.iter().take(n).cloned().collect();
+        prop_assert_eq!(format!("{limited:?}"), format!("{want_limited:?}"));
+    }
+
+    /// A relational-store scan with a projection returns the reference
+    /// rows: the predicate applied in heap order (index-key order when an
+    /// index on the range column serves it), then the projected columns
+    /// picked in projection order.
+    #[test]
+    fn projected_scan_matches_reference(
+        cells in arb_op_rows(),
+        threshold in -60i64..60,
+        ranged in any::<bool>(),
+        indexed in any::<bool>(),
+        picks in prop::collection::vec(0usize..5, 1..6),
+    ) {
+        let rows = op_rows(&cells);
+        let mut db = RelationalStore::new("db");
+        db.create_table("t", op_schema()).expect("valid schema");
+        db.insert("t", rows.clone()).expect("rows match schema");
+        if indexed {
+            db.create_index("t", "x").expect("indexes");
+        }
+        let mut cols: Vec<usize> = Vec::new();
+        for c in picks {
+            if !cols.contains(&c) {
+                cols.push(c);
+            }
+        }
+        let names: Vec<&str> = cols.iter().map(|&c| OP_COLUMNS[c]).collect();
+        let predicate = if ranged { Predicate::ge("x", threshold) } else { Predicate::True };
+        let got = db.scan("t", &predicate, Some(&names)).expect("scans");
+        let schema = db.scan_schema("t", Some(&names)).expect("projects");
+        prop_assert_eq!(schema.names(), names.clone());
+
+        let mut kept: Vec<&Row> = rows
+            .iter()
+            .filter(|r| !ranged || matches!(r[2], Value::Int(v) if v >= threshold))
+            .collect();
+        if ranged && indexed {
+            kept.sort_by_key(|r| r[2].as_i64());
+        }
+        let want: Vec<Row> = kept
+            .iter()
+            .map(|r| Row::from(cols.iter().map(|&c| r[c].clone()).collect::<Vec<_>>()))
+            .collect();
+        prop_assert_eq!(format!("{got:?}"), format!("{want:?}"));
     }
 
     /// Predicate evaluation never errors on schema-valid rows.
